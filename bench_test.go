@@ -9,7 +9,6 @@ package dqalloc
 import (
 	"testing"
 
-	"dqalloc/internal/dquery"
 	"dqalloc/internal/exper"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/system"
@@ -233,25 +232,25 @@ func BenchmarkAblationProbes(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinHotSpot runs the distributed-join extension's hot-spot
-// scenario and reports the static-vs-dynamic response ratio.
+// BenchmarkJoinHotSpot runs the distributed-join hot-spot study
+// (exper.JoinHotSpotSweep) and reports, at a 90% hot share, the
+// static (LOCAL/single) and random (RANDOM/operator) plans' mean
+// response relative to dynamic placement (LERT/operator).
 func BenchmarkJoinHotSpot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		var resp [2]float64
-		for j, kind := range []dquery.StrategyKind{dquery.Static, dquery.Dynamic} {
-			cfg := dquery.Default()
-			cfg.Strategy = kind
-			cfg.HotProb = 0.9
-			cfg.Warmup = 1000
-			cfg.Measure = 10000
-			sys, err := dquery.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp[j] = sys.Run().MeanResponse
+		rows, err := exper.JoinHotSpotSweep(benchRunner(), []float64{0, 0.5, 0.9})
+		if err != nil {
+			b.Fatal(err)
 		}
-		if resp[1] > 0 {
-			b.ReportMetric(resp[0]/resp[1], "static/dynamic")
+		resp := map[string]float64{}
+		for _, row := range rows {
+			if row.HotProb == 0.9 {
+				resp[row.Policy] = row.MeanResponse
+			}
+		}
+		if d := resp["LERT"]; d > 0 {
+			b.ReportMetric(resp["LOCAL"]/d, "static/dynamic")
+			b.ReportMetric(resp["RANDOM"]/d, "random/dynamic")
 		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 //   - kernel/churn — a pure scheduler microbenchmark: a rolling window
 //     of pending events where every fired event schedules a
-//     replacement. This isolates the future-event-list (heap + free
+//     replacement. This isolates the future-event-list (calendar + free
 //     list) cost from the model.
 //   - macro/<POLICY>/sites=<n> — one full replication (build + run) of
 //     the closed terminal model per allocation policy and site count,
@@ -39,14 +39,13 @@
 //
 // Usage:
 //
-//	dqbench [-quick] [-label note] [-o path] [-suite layer] [-sched impl]
+//	dqbench [-quick] [-label note] [-o path] [-suite layer]
 //
 // -quick shrinks horizons for CI smoke use; quick numbers are for
 // "did it run, is throughput nonzero" checks, not for comparison
-// against full-suite baselines. -sched selects the kernel's
-// future-event list (calendar, the default, or heap, the reference
-// implementation); both fire bit-identical event streams, so a heap
-// report is a same-workload baseline for the calendar's numbers.
+// against full-suite baselines. Every layer runs on the calendar-queue
+// kernel; the reference heap's baseline is
+// `go test -bench KernelChurnExp ./internal/sim/`.
 package main
 
 import (
@@ -94,10 +93,7 @@ type Report struct {
 	Label string `json:"label,omitempty"`
 	// Quick marks reduced-horizon CI runs whose numbers must not be
 	// compared against full-suite baselines.
-	Quick bool `json:"quick"`
-	// Scheduler is the kernel implementation every result in this report
-	// ran on: "calendar" or "heap".
-	Scheduler  string   `json:"scheduler"`
+	Quick      bool     `json:"quick"`
 	GoVersion  string   `json:"go_version"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	Results    []Result `json:"results"`
@@ -126,7 +122,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		label = fs.String("label", "", "free-form provenance note stored in the report")
 		out   = fs.String("o", "", "output path (default BENCH_<date>.json)")
 		suite = fs.String("suite", "all", "which layer to run: all, kernel, macro, table8, overload, grayfail, parallel, parallel-query, replication, or serve")
-		sched = fs.String("sched", "calendar", "scheduler implementation: calendar or heap")
 	)
 	fs.SetOutput(w)
 	if err := fs.Parse(args); err != nil {
@@ -135,11 +130,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	impl, err := sim.ParseImpl(*sched)
-	if err != nil {
-		return err
-	}
-
 	all := *suite == "all"
 	switch *suite {
 	case "all", "kernel", "macro", "table8", "overload", "grayfail", "parallel", "parallel-query", "replication", "serve":
@@ -151,7 +141,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		Label:      *label,
 		Quick:      *quick,
-		Scheduler:  impl.String(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
@@ -163,8 +152,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *quick {
 			churn = 20_000
 		}
-		fmt.Fprintf(w, "kernel/churn (%d events/op, %s) ...\n", churn, impl)
-		rep.Results = append(rep.Results, benchKernelChurn(impl, churn))
+		fmt.Fprintf(w, "kernel/churn (%d events/op) ...\n", churn)
+		rep.Results = append(rep.Results, benchKernelChurn(churn))
 	}
 
 	if ctx.Err() == nil && (all || *suite == "macro") {
@@ -179,7 +168,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 				if ctx.Err() != nil {
 					break macro
 				}
-				r, err := benchMacro(impl, kind, sites, measure)
+				r, err := benchMacro(kind, sites, measure)
 				if err != nil {
 					return err
 				}
@@ -197,7 +186,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *quick {
 			measure = 1200
 		}
-		r, err := benchOverload(impl, measure)
+		r, err := benchOverload(measure)
 		if err != nil {
 			return err
 		}
@@ -214,7 +203,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *quick {
 			measure = 1200
 		}
-		r, err := benchGrayFail(impl, measure)
+		r, err := benchGrayFail(measure)
 		if err != nil {
 			return err
 		}
@@ -230,7 +219,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *quick {
 			measure = 1200
 		}
-		r, err := benchReplication(impl, measure)
+		r, err := benchReplication(measure)
 		if err != nil {
 			return err
 		}
@@ -246,7 +235,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *quick {
 			measure = 1200
 		}
-		r, err := benchParallelQuery(impl, measure)
+		r, err := benchParallelQuery(measure)
 		if err != nil {
 			return err
 		}
@@ -272,9 +261,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	if ctx.Err() == nil && (all || *suite == "table8") {
 		// Composite: the Table-8 harness.
-		runner := exper.Runner{Reps: 2, BaseSeed: 1, Warmup: 1000, Measure: 6000, Scheduler: impl}
+		runner := exper.Runner{Reps: 2, BaseSeed: 1, Warmup: 1000, Measure: 6000}
 		if *quick {
-			runner = exper.Runner{Reps: 1, BaseSeed: 1, Warmup: 300, Measure: 1500, Scheduler: impl}
+			runner = exper.Runner{Reps: 1, BaseSeed: 1, Warmup: 300, Measure: 1500}
 		}
 		fmt.Fprintln(w, "table8 ...")
 		t8, err := benchTable8(runner)
@@ -293,7 +282,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			measure = 1200
 			reps = runtime.GOMAXPROCS(0)
 		}
-		r, err := benchParallel(impl, measure, reps)
+		r, err := benchParallel(measure, reps)
 		if err != nil {
 			return err
 		}
@@ -351,12 +340,12 @@ func writeFileAtomic(path string, data []byte) error {
 // benchKernelChurn measures the scheduler alone: a rolling window of
 // 1024 pending events, every fired event scheduling one replacement
 // at an exponential offset, until `events` events have fired.
-func benchKernelChurn(impl sim.Impl, events int) Result {
+func benchKernelChurn(events int) Result {
 	const window = 1024
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := sim.NewImpl(impl)
+			s := sim.New()
 			st := rng.NewStream(1)
 			fired := 0
 			var tick sim.Action
@@ -381,9 +370,8 @@ func benchKernelChurn(impl sim.Impl, events int) Result {
 // benchMacro measures one full replication (system build + run) under
 // the given policy and site count. The seed is fixed, so every op fires
 // the identical event sequence.
-func benchMacro(impl sim.Impl, kind policy.Kind, sites int, measure float64) (Result, error) {
+func benchMacro(kind policy.Kind, sites int, measure float64) (Result, error) {
 	cfg := system.Default()
-	cfg.Scheduler = impl
 	cfg.PolicyKind = kind
 	cfg.NumSites = sites
 	cfg.Seed = 1
@@ -417,9 +405,8 @@ func benchMacro(impl sim.Impl, kind policy.Kind, sites int, measure float64) (Re
 // extensions all on — MMPP arrivals at burst factor 4, deadlines and
 // hedging — so regressions on the open-arrival hot path (histogram
 // adds, watchdog arm/cancel, hedge races) show up in events/sec.
-func benchOverload(impl sim.Impl, measure float64) (Result, error) {
+func benchOverload(measure float64) (Result, error) {
 	cfg := system.Default()
-	cfg.Scheduler = impl
 	cfg.PolicyKind = policy.LERT
 	cfg.Seed = 1
 	cfg.Warmup = 500
@@ -459,9 +446,8 @@ func benchOverload(impl sim.Impl, measure float64) (Result, error) {
 // stack: frequent fail-slow episodes rescaling CPU and disk rates, ring
 // brownouts, the suspicion detector scoring every completion and
 // straggler hedging racing suspect primaries.
-func benchGrayFail(impl sim.Impl, measure float64) (Result, error) {
+func benchGrayFail(measure float64) (Result, error) {
 	cfg := system.Default()
-	cfg.Scheduler = impl
 	cfg.PolicyKind = policy.LERT
 	cfg.Seed = 1
 	cfg.Warmup = 500
@@ -506,9 +492,8 @@ func benchGrayFail(impl sim.Impl, measure float64) (Result, error) {
 // benchReplication measures one audited replication with a 2-copy
 // partial placement, frequent site crashes and the self-healing replica
 // manager on — the rebuild and degraded-read hot path.
-func benchReplication(impl sim.Impl, measure float64) (Result, error) {
+func benchReplication(measure float64) (Result, error) {
 	cfg := system.Default()
-	cfg.Scheduler = impl
 	cfg.PolicyKind = policy.LERT
 	cfg.Seed = 1
 	cfg.Warmup = 500
@@ -561,9 +546,8 @@ func benchReplication(impl sim.Impl, measure float64) (Result, error) {
 // placement splitting the bottom join across sites, the operator
 // conservation auditor checking every event — the plan engine's
 // dispatch/ship/deliver hot path.
-func benchParallelQuery(impl sim.Impl, measure float64) (Result, error) {
+func benchParallelQuery(measure float64) (Result, error) {
 	cfg := exper.ParallelWorkloadConfig()
-	cfg.Scheduler = impl
 	cfg.PolicyKind = policy.LERT
 	cfg.Parallel.Mode = policy.ParallelDOP
 	cfg.Seed = 1
@@ -681,7 +665,7 @@ func benchTable8(r exper.Runner) (Result, error) {
 // its own scheduler and model. events/op is the deterministic batch
 // total (fixed seed sequence), so events/sec is aggregate multi-core
 // kernel throughput.
-func benchParallel(impl sim.Impl, measure float64, reps int) (Result, error) {
+func benchParallel(measure float64, reps int) (Result, error) {
 	cfg := system.Default()
 	cfg.PolicyKind = policy.LERT
 	if err := cfg.Validate(); err != nil {
@@ -689,13 +673,12 @@ func benchParallel(impl sim.Impl, measure float64, reps int) (Result, error) {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	runner := exper.Runner{
-		Reps:      reps,
-		BaseSeed:  1,
-		Warmup:    500,
-		Measure:   measure,
-		Parallel:  true,
-		Workers:   workers,
-		Scheduler: impl,
+		Reps:     reps,
+		BaseSeed: 1,
+		Warmup:   500,
+		Measure:  measure,
+		Parallel: true,
+		Workers:  workers,
 	}
 	var events uint64
 	var runErr error

@@ -21,7 +21,6 @@ import (
 	"dqalloc/internal/noise"
 	"dqalloc/internal/policy"
 	"dqalloc/internal/replica"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/system"
 	"dqalloc/internal/workload"
 )
@@ -67,7 +66,6 @@ func run(args []string, w io.Writer) error {
 		susRatio   = fs.Float64("suspect-ratio", 0, "suspect a site past this multiple of the median slowdown (0 = detector default)")
 		susPenalty = fs.Float64("suspect-penalty", -1, "cost surcharge on suspect sites (-1 = detector default)")
 		audit      = fs.Bool("audit", false, "run invariant auditors and fail on any violation")
-		schedName  = fs.String("sched", "calendar", "event scheduler: calendar (default) or heap (reference; identical results)")
 
 		estNoise  = fs.Float64("est-noise", 0, "estimation-error sigma on both demand estimates (0 = exact)")
 		noiseDist = fs.String("est-noise-dist", "lognormal", "estimation-error distribution: lognormal or uniform")
@@ -132,9 +130,6 @@ func run(args []string, w io.Writer) error {
 	cfg.Warmup = *warmup
 	cfg.Measure = *measure
 	cfg.Audit = *audit
-	if cfg.Scheduler, err = sim.ParseImpl(*schedName); err != nil {
-		return err
-	}
 	if *mttf > 0 || *drop > 0 || *netDelay > 0 || *slowMTTF > 0 || *brownMTTF > 0 {
 		fc := fault.Default()
 		fc.MTTF = math.Inf(1) // crashes off unless -mttf is given

@@ -38,7 +38,6 @@ import (
 	"dqalloc/internal/loadinfo"
 	"dqalloc/internal/noise"
 	"dqalloc/internal/policy"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/site"
 	"dqalloc/internal/stats"
 	"dqalloc/internal/system"
@@ -106,10 +105,6 @@ type (
 	// Quantiles carries the log-histogram response-time quantiles
 	// (p50–p99.9) reported in Results.
 	Quantiles = stats.Quantiles
-	// SchedulerImpl selects the kernel's future-event list
-	// implementation (set Config.Scheduler; results are identical
-	// either way — the knob trades only speed).
-	SchedulerImpl = sim.Impl
 )
 
 // Built-in allocation policies (paper Section 4 plus baselines).
@@ -142,15 +137,6 @@ const (
 	InfoPerfect = system.InfoPerfect
 	// InfoPeriodic gives allocators periodic snapshots (set InfoPeriod).
 	InfoPeriodic = system.InfoPeriodic
-)
-
-// Event-scheduler implementations (DESIGN.md §12). Both fire
-// bit-identical event streams; the calendar queue is faster.
-const (
-	// SchedulerCalendar is the adaptive O(1) calendar queue (default).
-	SchedulerCalendar = sim.Calendar
-	// SchedulerHeap is the reference binary heap.
-	SchedulerHeap = sim.Heap
 )
 
 // Plan-placement modes for Config.Parallel (DESIGN.md §15).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dqalloc/internal/policy"
+	"dqalloc/internal/replica"
 	"dqalloc/internal/system"
 	"dqalloc/internal/workload"
 )
@@ -82,12 +83,13 @@ func ParallelQuerySweep(r Runner, kinds []policy.Kind, modes []policy.ParallelMo
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("exper: parallel-query sweep: no placement modes")
 	}
+	base := ParallelWorkloadConfig()
 	rows := make([]ParallelQueryRow, 0, len(kinds)*len(modes))
 	for _, kind := range kinds {
 		for _, mode := range modes {
-			row, err := parallelCell(r, kind, mode)
+			row, err := parallelCell(r, base, kind, mode)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("exper: parallel-query sweep: %w", err)
 			}
 			rows = append(rows, row)
 		}
@@ -95,10 +97,10 @@ func ParallelQuerySweep(r Runner, kinds []policy.Kind, modes []policy.ParallelMo
 	return rows, nil
 }
 
-// parallelCell averages one (policy, mode) cell over the runner's
-// replications.
-func parallelCell(r Runner, kind policy.Kind, mode policy.ParallelMode) (ParallelQueryRow, error) {
-	cfg := r.applyHorizons(ParallelWorkloadConfig())
+// parallelCell averages one (policy, mode) cell on the base workload
+// over the runner's replications, auditing every run.
+func parallelCell(r Runner, base system.Config, kind policy.Kind, mode policy.ParallelMode) (ParallelQueryRow, error) {
+	cfg := r.applyHorizons(base)
 	cfg.PolicyKind = kind
 	cfg.Audit = true
 	cfg.Parallel.Mode = mode
@@ -108,12 +110,11 @@ func parallelCell(r Runner, kind policy.Kind, mode policy.ParallelMode) (Paralle
 		cfg.Seed = r.BaseSeed + uint64(rep)
 		sys, err := newSystem(cfg)
 		if err != nil {
-			return ParallelQueryRow{}, fmt.Errorf("exper: parallel-query sweep %v %v: %w", kind, mode, err)
+			return ParallelQueryRow{}, fmt.Errorf("%v/%v: %w", kind, mode, err)
 		}
 		res := sys.Run()
 		if err := sys.Audit(); err != nil {
-			return ParallelQueryRow{}, fmt.Errorf("exper: parallel-query sweep %v %v seed %d: %w",
-				kind, mode, cfg.Seed, err)
+			return ParallelQueryRow{}, fmt.Errorf("%v/%v seed %d: %w", kind, mode, cfg.Seed, err)
 		}
 		row.MeanResponse += res.MeanResponse
 		row.MeanWait += res.MeanWait
@@ -137,4 +138,87 @@ func parallelCell(r Runner, kind policy.Kind, mode policy.ParallelMode) (Paralle
 		row.WideFrac = float64(wide) / float64(plans)
 	}
 	return row, nil
+}
+
+// JoinHotSpotConfig returns the distributed-join hot-spot workload: six
+// sites with a few terminals each, every query a two-way join of 20-page
+// scans over an 8-fragment, 2-copy round-robin placement. Scans are
+// I/O-bound and the join CPU-bound, so a plan that keeps a hot join at
+// one site convoys on that site's CPU. Every run is audited.
+func JoinHotSpotConfig() (system.Config, error) {
+	cfg := system.Default()
+	cfg.MPL = 6
+	cfg.ThinkTime = 300
+	cfg.Classes = []workload.Class{{Name: "join", PageCPUTime: 0.05, NumReads: 20, MsgLength: 1}}
+	cfg.ClassProbs = []float64{1}
+	par := system.DefaultParallel()
+	par.JoinProb = 1
+	par.FilterProb = 0
+	par.SelScan = 0.3
+	par.SelJoin = 0.5
+	par.JoinPageCPU = 1
+	par.ShipBytesPerPage = 0.1
+	cfg.Parallel = par
+	placement, err := replica.NewRoundRobin(cfg.NumSites, 8, 2)
+	if err != nil {
+		return system.Config{}, err
+	}
+	cfg.Placement = placement
+	cfg.Audit = true
+	return cfg, cfg.Validate()
+}
+
+// joinHotSpotLeg is one way of placing the hot-spot study's join trees.
+type joinHotSpotLeg struct {
+	Policy policy.Kind
+	Mode   policy.ParallelMode
+}
+
+// joinHotSpotLegs are the study's three plan strategies: a static,
+// load-blind plan that runs each scan at its fragment's copy nearest the
+// home site and keeps the join with the left scan (LOCAL/single),
+// load-blind random per-operator placement (RANDOM/operator), and
+// dynamic, load-aware per-operator placement (LERT/operator).
+var joinHotSpotLegs = []joinHotSpotLeg{
+	{policy.Local, policy.ParallelSingle},
+	{policy.Random, policy.ParallelOperator},
+	{policy.LERT, policy.ParallelOperator},
+}
+
+// JoinHotSpotRow is one cell of the hot-spot study: one leg at one hot
+// share.
+type JoinHotSpotRow struct {
+	// HotProb is the share of join trees reading the hot fragment pair.
+	HotProb float64
+	ParallelQueryRow
+}
+
+// JoinHotSpotSweep runs each of the three legs at each hot share on
+// the JoinHotSpotConfig workload with common random numbers and full
+// auditing. It reproduces the paper's Section 1.1 convoy: when everyone
+// submits the same query, a static plan keeps sending it to the same
+// few sites, while dynamic subquery allocation spreads the load.
+func JoinHotSpotSweep(r Runner, hotShares []float64) ([]JoinHotSpotRow, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	if len(hotShares) == 0 {
+		return nil, fmt.Errorf("exper: join hot-spot sweep: no hot shares")
+	}
+	base, err := JoinHotSpotConfig()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]JoinHotSpotRow, 0, len(hotShares)*len(joinHotSpotLegs))
+	for _, hot := range hotShares {
+		base.Parallel.HotProb = hot
+		for _, leg := range joinHotSpotLegs {
+			row, err := parallelCell(r, base, leg.Policy, leg.Mode)
+			if err != nil {
+				return nil, fmt.Errorf("exper: join hot-spot sweep at hot share %v: %w", hot, err)
+			}
+			rows = append(rows, JoinHotSpotRow{HotProb: hot, ParallelQueryRow: row})
+		}
+	}
+	return rows, nil
 }

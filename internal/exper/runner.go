@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"dqalloc/internal/policy"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/stats"
 	"dqalloc/internal/system"
 )
@@ -52,14 +51,6 @@ type Runner struct {
 	// Workers caps the worker pool used by Parallel mode. Zero or
 	// negative means GOMAXPROCS. Ignored when Parallel is false.
 	Workers int
-	// Scheduler selects the kernel's future-event list for every
-	// replication (the runner owns this choice, overwriting whatever the
-	// configuration carries). The zero value is sim.Calendar, the
-	// default; sim.Heap runs the reference implementation. Results are
-	// identical either way — the scheduler trades only speed — so
-	// benchmark harnesses can compare implementations on byte-identical
-	// workloads.
-	Scheduler sim.Impl
 }
 
 // Quick returns a runner sized for tests and demos (a few seconds per
@@ -122,7 +113,7 @@ func (r Runner) Run(cfg system.Config) (Aggregate, error) {
 }
 
 // applyHorizons overlays the runner's warmup/measure overrides, when
-// set, and its scheduler selection on the configuration.
+// set, on the configuration.
 func (r Runner) applyHorizons(cfg system.Config) system.Config {
 	if r.Warmup > 0 {
 		cfg.Warmup = r.Warmup
@@ -130,7 +121,6 @@ func (r Runner) applyHorizons(cfg system.Config) system.Config {
 	if r.Measure > 0 {
 		cfg.Measure = r.Measure
 	}
-	cfg.Scheduler = r.Scheduler
 	return cfg
 }
 

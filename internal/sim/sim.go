@@ -9,10 +9,10 @@
 // Two future-event-list implementations sit behind the same API: an
 // adaptive calendar queue (the default — amortized O(1) per operation,
 // see calendar.go and DESIGN.md §12) and the original binary heap, kept
-// as a config-selectable reference (Impl Heap) that the differential
-// tests and fuzz target cross-check the calendar against. Both fire
-// events in the identical (time, seq) order, so trace digests are
-// bit-identical whichever is selected.
+// as a test reference (NewImpl(Heap)) that the differential tests and
+// fuzz targets cross-check the calendar against. Both fire events in the
+// identical (time, seq) order, so trace digests are bit-identical
+// whichever is selected.
 //
 // Event records are pooled: once an event fires or is cancelled its
 // record returns to a per-scheduler free list and is reused by the next
@@ -131,7 +131,7 @@ const (
 	Heap
 )
 
-// String returns the implementation name as used in flags and reports.
+// String returns the implementation name as used in test names.
 func (i Impl) String() string {
 	switch i {
 	case Calendar:
@@ -140,18 +140,6 @@ func (i Impl) String() string {
 		return "heap"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseImpl converts a flag value to an Impl.
-func ParseImpl(s string) (Impl, error) {
-	switch s {
-	case "calendar":
-		return Calendar, nil
-	case "heap":
-		return Heap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler implementation %q (want calendar or heap)", s)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"dqalloc/internal/policy"
 	"dqalloc/internal/queue"
 	"dqalloc/internal/replica"
-	"dqalloc/internal/sim"
 	"dqalloc/internal/site"
 	"dqalloc/internal/workload"
 )
@@ -184,15 +183,6 @@ type Config struct {
 	// one built without the subsystem.
 	Parallel ParallelConfig
 
-	// Scheduler selects the kernel's future-event list implementation:
-	// sim.Calendar (the default adaptive calendar queue) or sim.Heap (the
-	// reference binary heap). The two are observationally identical —
-	// every run fires the same events in the same order with either, and
-	// TraceDigest values match bit for bit — so this knob trades only
-	// performance, and exists chiefly so regression suites can
-	// cross-check the implementations on full macro runs.
-	Scheduler sim.Impl
-
 	// Audit attaches the internal/check runtime auditors to the run:
 	// query conservation, utilization bounds, Little's law, event-clock
 	// monotonicity, and ring message conservation. Off by default so hot
@@ -340,9 +330,9 @@ func (c Config) Validate() error {
 			// the plan engine's knowledge.
 			return fmt.Errorf("system: parallel queries and migration are mutually exclusive")
 		}
-	}
-	if c.Scheduler != sim.Calendar && c.Scheduler != sim.Heap {
-		return fmt.Errorf("system: invalid Scheduler %d", c.Scheduler)
+		if c.Parallel.HotProb > 0 && (c.Placement == nil || c.Placement.NumObjects() < 2) {
+			return fmt.Errorf("system: parallel HotProb needs a Placement of at least 2 objects")
+		}
 	}
 	if c.CPUSpeeds != nil {
 		if len(c.CPUSpeeds) != c.NumSites {

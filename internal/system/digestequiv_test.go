@@ -91,9 +91,7 @@ func TestDigestEquivalencePooledKernel(t *testing.T) {
 func TestDigestEquivalenceSchedulerImpls(t *testing.T) {
 	for _, g := range goldenDigests {
 		t.Run("golden/heap/"+g.mode.String()+"/"+g.kind.String(), func(t *testing.T) {
-			cfg := imperfectCfg(g.kind, g.mode)
-			cfg.Scheduler = sim.Heap
-			r := runDigest(t, cfg)
+			r := runDigestImpl(t, imperfectCfg(g.kind, g.mode), sim.Heap)
 			if r.TraceDigest != g.want {
 				t.Errorf("heap digest %#x, want golden %#x — the scheduler changed the event stream",
 					r.TraceDigest, g.want)
@@ -111,9 +109,7 @@ func TestDigestEquivalenceSchedulerImpls(t *testing.T) {
 	for _, g := range heavy {
 		for _, impl := range []sim.Impl{sim.Calendar, sim.Heap} {
 			t.Run(g.name+"/"+impl.String(), func(t *testing.T) {
-				cfg := g.cfg
-				cfg.Scheduler = impl
-				r := runDigest(t, cfg)
+				r := runDigestImpl(t, g.cfg, impl)
 				if r.TraceDigest != g.want {
 					t.Errorf("%v digest %#x, want golden %#x — the scheduler changed the event stream",
 						impl, r.TraceDigest, g.want)

@@ -5,6 +5,7 @@ import (
 
 	"dqalloc/internal/noise"
 	"dqalloc/internal/policy"
+	"dqalloc/internal/sim"
 	"dqalloc/internal/workload"
 )
 
@@ -31,7 +32,13 @@ func imperfectCfg(kind policy.Kind, mode InfoMode) Config {
 
 func runDigest(t *testing.T, cfg Config) Results {
 	t.Helper()
-	sys, err := New(cfg)
+	return runDigestImpl(t, cfg, sim.Calendar)
+}
+
+// runDigestImpl is runDigest on the chosen future-event list.
+func runDigestImpl(t *testing.T, cfg Config, impl sim.Impl) Results {
+	t.Helper()
+	sys, err := newWithImpl(cfg, impl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,11 @@ type ParallelConfig struct {
 	// ShipBytesPerPage converts intermediate-result pages into ring
 	// transmission size.
 	ShipBytesPerPage float64
+	// HotProb is the probability a join tree reads the hot fragment pair
+	// (fragments 0 and 1) — the Section 1.1 hot spot where everyone
+	// submits the same query. Positive values need a Placement of at
+	// least two objects.
+	HotProb float64
 
 	// MaxDOP caps the fragment-and-replicate split width; 0 means
 	// NumSites.
@@ -112,7 +117,7 @@ func (p ParallelConfig) validate() error {
 	for _, pr := range [...]struct {
 		name string
 		v    float64
-	}{{"JoinProb", p.JoinProb}, {"FilterProb", p.FilterProb}} {
+	}{{"JoinProb", p.JoinProb}, {"FilterProb", p.FilterProb}, {"HotProb", p.HotProb}} {
 		if math.IsNaN(pr.v) || pr.v < 0 || pr.v > 1 {
 			return fmt.Errorf("system: parallel %s %v outside [0,1]", pr.name, pr.v)
 		}
@@ -264,6 +269,7 @@ func (s *System) setupParallel(stream *rng.Stream) error {
 		JoinPageCPU:      cfg.JoinPageCPU,
 		FilterPageCPU:    cfg.FilterPageCPU,
 		ShipBytesPerPage: cfg.ShipBytesPerPage,
+		HotProb:          cfg.HotProb,
 	}
 	if s.cfg.Placement != nil {
 		gcfg.NumFrags = s.cfg.Placement.NumObjects()

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -62,9 +63,7 @@ func TestParallelDigestDeterminism(t *testing.T) {
 			if a.TraceDigest != b.TraceDigest {
 				t.Errorf("same seed digests differ: %#x vs %#x", a.TraceDigest, b.TraceDigest)
 			}
-			heap := cfg
-			heap.Scheduler = sim.Heap
-			h := runDigest(t, heap)
+			h := runDigestImpl(t, cfg, sim.Heap)
 			if h.TraceDigest != a.TraceDigest {
 				t.Errorf("heap digest %#x, want calendar %#x", h.TraceDigest, a.TraceDigest)
 			}
@@ -241,7 +240,8 @@ func parallelChaosHedge(cfg Config) Config {
 }
 
 // TestParallelConfigRejects pins the cross-field validation: operator
-// hedging without the hedge subsystem, and plans under migration, are
+// hedging without the hedge subsystem, plans under migration, and a hot
+// share that is out of range or has no fragment pair to read are
 // configuration errors.
 func TestParallelConfigRejects(t *testing.T) {
 	cfg := parallelCfg(policy.LERT, 0.5, policy.ParallelOperator)
@@ -259,19 +259,64 @@ func TestParallelConfigRejects(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid parallel mode accepted")
 	}
+	onePlacement, err := replica.NewRoundRobin(6, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		hot       float64
+		placement *replica.Placement
+	}{
+		{"NaN", math.NaN(), hotPlacement(t)},
+		{"negative", -0.1, hotPlacement(t)},
+		{"above one", 1.5, hotPlacement(t)},
+		{"no placement", 0.5, nil},
+		{"one object", 0.5, onePlacement},
+	} {
+		cfg = parallelCfg(policy.LERT, 0.5, policy.ParallelOperator)
+		cfg.Parallel.HotProb = c.hot
+		cfg.Placement = c.placement
+		if _, err := New(cfg); err == nil {
+			t.Errorf("HotProb %v (%s) accepted", c.hot, c.name)
+		}
+	}
+	cfg = parallelCfg(policy.LERT, 0.5, policy.ParallelOperator)
+	cfg.Parallel.HotProb = 1
+	cfg.Placement = hotPlacement(t)
+	if _, err := New(cfg); err != nil {
+		t.Errorf("HotProb 1 on an 8-object placement rejected: %v", err)
+	}
+}
+
+// hotPlacement is an 8-object, 2-copy round-robin placement over the
+// base config's six sites: enough fragments for the hot pair.
+func hotPlacement(t testing.TB) *replica.Placement {
+	t.Helper()
+	pl, err := replica.NewRoundRobin(6, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
 }
 
 // FuzzParallelScheduler cross-checks the operator engine under both
-// kernel implementations: for arbitrary seeds, join probabilities,
-// modes, and fault settings, the calendar and heap schedulers must
-// produce bit-identical event streams with every auditor passing.
+// kernel implementations: for arbitrary seeds, join probabilities, hot
+// shares, modes, and fault settings, the calendar and heap schedulers
+// must produce bit-identical event streams with every auditor passing.
+// A nonzero hot share runs on a partial placement, so the skewed
+// sampler and fragment-confined scans are cross-checked too.
 func FuzzParallelScheduler(f *testing.F) {
-	f.Add(uint64(1), uint8(128), uint8(0), false)
-	f.Add(uint64(7), uint8(255), uint8(1), true)
-	f.Add(uint64(42), uint8(64), uint8(2), false)
-	f.Fuzz(func(t *testing.T, seed uint64, joinProb, mode uint8, faultOn bool) {
+	f.Add(uint64(1), uint8(128), uint8(0), uint8(0), false)
+	f.Add(uint64(7), uint8(255), uint8(230), uint8(1), true)
+	f.Add(uint64(42), uint8(64), uint8(128), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed uint64, joinProb, hot, mode uint8, faultOn bool) {
 		modes := []policy.ParallelMode{policy.ParallelSingle, policy.ParallelOperator, policy.ParallelDOP}
 		cfg := parallelCfg(policy.LERT, float64(joinProb)/255, modes[int(mode)%len(modes)])
+		if hot > 0 {
+			cfg.Placement = hotPlacement(t)
+			cfg.Parallel.HotProb = float64(hot) / 255
+		}
 		cfg.Seed = seed
 		cfg.Warmup = 200
 		cfg.Measure = 1500
@@ -287,9 +332,7 @@ func FuzzParallelScheduler(f *testing.F) {
 			}
 		}
 		a := runDigest(t, cfg)
-		heap := cfg
-		heap.Scheduler = sim.Heap
-		b := runDigest(t, heap)
+		b := runDigestImpl(t, cfg, sim.Heap)
 		if a.TraceDigest != b.TraceDigest {
 			t.Fatalf("scheduler implementations diverged: calendar %#x, heap %#x", a.TraceDigest, b.TraceDigest)
 		}

@@ -99,10 +99,17 @@ type System struct {
 // New assembles a system from cfg. The configuration is validated and the
 // model is built but no events run until Run.
 func New(cfg Config) (*System, error) {
+	return newWithImpl(cfg, sim.Calendar)
+}
+
+// newWithImpl is New on a chosen future-event list. Only tests pick the
+// reference heap, to cross-check the calendar on full runs; the two fire
+// identical event streams.
+func newWithImpl(cfg Config, impl sim.Impl) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, sched: sim.NewImpl(cfg.Scheduler)}
+	s := &System{cfg: cfg, sched: sim.NewImpl(impl)}
 	root := rng.NewStream(cfg.Seed)
 
 	var err error

@@ -287,8 +287,8 @@ func ExpandFragRep(pl *replica.Placement, frag, pages int, sites []int) (FragRep
 	return out, nil
 }
 
-// clampPages rounds a fractional page count to at least one page — the
-// same convention the seed dquery package uses for selectivity output.
+// clampPages rounds a fractional page count to at least one page, so
+// every selectivity output is a shippable result.
 func clampPages(x float64) int {
 	n := int(math.Round(x))
 	if n < 1 {
@@ -318,6 +318,11 @@ type PlanGenConfig struct {
 	// NumFrags is the fragment count extra scans sample from; 0 means an
 	// unfragmented database (every scan reads fragment 0).
 	NumFrags int
+	// HotProb is the probability a join tree reads the hot fragment
+	// pair — fragment 0 on the left, fragment 1 on the right — instead
+	// of its sampled fragments: the "everyone submits the same query"
+	// hot spot of the paper's Section 1.1. It needs NumFrags >= 2.
+	HotProb float64
 }
 
 // PlanGen samples operator trees on its own dedicated random stream, so
@@ -353,6 +358,14 @@ func (g *PlanGen) New(q *Query, meanReads float64) Plan {
 		rightFrag = g.stream.Intn(g.cfg.NumFrags)
 	}
 	filter := g.stream.Bernoulli(g.cfg.FilterProb)
+	// The hot draw comes last and only when enabled, so a HotProb of 0
+	// leaves the stream — and every pinned digest — untouched. The query
+	// itself moves to the hot fragment too, so anything placing the
+	// logical query (single-site anchoring) follows the skew.
+	if g.cfg.HotProb > 0 && g.stream.Bernoulli(g.cfg.HotProb) {
+		q.Object = 0
+		rightFrag = 1
+	}
 
 	left := Operator{Kind: OpScan, Reads: q.ReadsTotal, Frag: q.Object}
 	left.OutPages = clampPages(g.cfg.SelScan * float64(left.Reads))

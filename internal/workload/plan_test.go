@@ -277,6 +277,7 @@ func TestPlanGenAlwaysValid(t *testing.T) {
 		{JoinProb: 1, FilterProb: 1, SelScan: 0.5, SelJoin: 0.25, JoinPageCPU: 0.1, FilterPageCPU: 0.02, ShipBytesPerPage: 0.05, NumFrags: 8},
 		{JoinProb: 0.5, FilterProb: 0.3, SelScan: 2, SelJoin: 0.1, ShipBytesPerPage: 1},
 		{JoinProb: 1, SelScan: 0.01, SelJoin: 0.01, NumFrags: 1},
+		{JoinProb: 1, SelScan: 0.3, SelJoin: 0.5, NumFrags: 8, HotProb: 0.5},
 	}
 	for ci, cfg := range cfgs {
 		gen, err := NewPlanGen(cfg, rng.NewStream(7).Child(12))
@@ -303,5 +304,36 @@ func TestPlanGenAlwaysValid(t *testing.T) {
 	}
 	if _, err := NewPlanGen(PlanGenConfig{}, nil); err == nil {
 		t.Error("nil stream accepted")
+	}
+}
+
+// TestPlanGenHotPair pins the hot-spot skew: at HotProb 1 every join
+// tree reads the hot pair (fragment 0 left, fragment 1 right) and moves
+// its query to fragment 0, while single-scan plans keep their object.
+func TestPlanGenHotPair(t *testing.T) {
+	gen, err := NewPlanGen(PlanGenConfig{JoinProb: 0.5, SelScan: 0.3, SelJoin: 0.5, NumFrags: 8, HotProb: 1},
+		rng.NewStream(3).Child(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := 0
+	for i := 0; i < 200; i++ {
+		q := &Query{ReadsTotal: 20, Object: 2 + i%6}
+		obj := q.Object
+		p := gen.New(q, 20)
+		if len(p.Ops) == 1 {
+			if q.Object != obj || p.Ops[0].Frag != obj {
+				t.Fatalf("single scan moved off object %d: query %d, scan %d", obj, q.Object, p.Ops[0].Frag)
+			}
+			continue
+		}
+		joins++
+		if q.Object != 0 || p.Ops[0].Frag != 0 || p.Ops[1].Frag != 1 {
+			t.Fatalf("hot join reads fragments %d/%d with query object %d, want 0/1 and 0",
+				p.Ops[0].Frag, p.Ops[1].Frag, q.Object)
+		}
+	}
+	if joins == 0 {
+		t.Fatal("no join trees sampled")
 	}
 }
