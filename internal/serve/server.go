@@ -1,11 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +23,12 @@ const (
 	resolveExpired // the handler's deadline fired first
 )
 
-// decideReq is one queued decision.
+// decideReq is one queued decision. Requests are pooled together with
+// their done channel: a handler recycles its request only after
+// receiving the loop's send, which is the loop's last touch of it, so
+// the channel is empty again and no other goroutine holds the request.
+// A request that expires is never recycled, since the loop may still
+// hold it.
 type decideReq struct {
 	ctx      context.Context
 	q        workload.Query
@@ -35,6 +41,10 @@ type decideResult struct {
 	site    int
 	outcome Outcome
 }
+
+var decideReqPool = sync.Pool{New: func() any {
+	return &decideReq{done: make(chan decideResult, 1)}
+}}
 
 // Stats is a point-in-time snapshot of the service counters. The
 // decide counters conserve: Requests = Decided + Fallback + NoCapacity
@@ -110,6 +120,10 @@ type Server struct {
 	clock func() time.Time
 	mux   *http.ServeMux
 
+	// policyTail and fallbackTail are what follows the site number in a
+	// 200 decision body, newline included (see decisionTail).
+	policyTail, fallbackTail []byte
+
 	queue    chan *decideReq
 	qmu      sync.RWMutex // pairs enqueue sends with Shutdown's close
 	loopDone chan struct{}
@@ -136,6 +150,8 @@ func NewServer(cfg Config) (*Server, error) {
 		queue:    make(chan *decideReq, cfg.QueueBound),
 		loopDone: make(chan struct{}),
 	}
+	s.policyTail = decisionTail("policy", core.Policy())
+	s.fallbackTail = decisionTail("fallback", core.Policy())
 	s.initLatencyHists()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/decide", s.handleDecide)
@@ -278,6 +294,10 @@ func (s *Server) bump(counter *uint64) {
 	s.mu.Unlock()
 }
 
+// jsonContentType is the Content-Type of every JSON body; the 200
+// decision path assigns it without building a new slice per response.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -290,9 +310,49 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readBody reads a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// bufPool holds the buffers request bodies are read into and decision
+// bodies are written from. Both wire forms fit in the initial capacity.
+var bufPool = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, 512)) }}
+
+// maxPooledBuf is the largest buffer returned to bufPool, so one
+// oversized body does not stay pinned in the pool.
+const maxPooledBuf = 4 << 10
+
+// readPooled reads a bounded request body into a pooled buffer. On
+// success the caller hands the buffer back with putBuf once the values
+// it needs are copied out.
+func readPooled(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		putBuf(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// putBuf returns a buffer to bufPool.
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBuf {
+		return
+	}
+	buf.Reset()
+	bufPool.Put(buf)
+}
+
+// decisionTail returns the bytes json.NewEncoder writes after the site
+// number when it encodes a DecideResponse with this mode and policy, so
+// that `{"site":` + digits + tail is the encoder's output byte for byte.
+func decisionTail(mode, policy string) []byte {
+	// A struct of an int and two strings always marshals.
+	b, _ := json.Marshal(DecideResponse{Mode: mode, Policy: policy})
+	return append(b[len(`{"site":0`):], '\n')
+}
+
+// appendDecision appends a 200 decision body for site to dst.
+func appendDecision(dst []byte, site int, tail []byte) []byte {
+	dst = append(dst, `{"site":`...)
+	dst = strconv.AppendInt(dst, int64(site), 10)
+	return append(dst, tail...)
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -307,13 +367,14 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := readPooled(w, r)
 	if err != nil {
 		s.bump(&s.st.Malformed)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	dr, err := DecodeDecideRequest(body, len(s.cfg.Classes), s.cfg.NumSites)
+	dr, err := DecodeDecideRequest(body.Bytes(), len(s.cfg.Classes), s.cfg.NumSites)
+	putBuf(body)
 	if err != nil {
 		s.bump(&s.st.Malformed)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -330,11 +391,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
-	req := &decideReq{
-		ctx:      ctx,
-		enqueued: s.clock(),
-		done:     make(chan decideResult, 1),
-	}
+	req := decideReqPool.Get().(*decideReq)
+	req.ctx = ctx
+	req.enqueued = s.clock()
+	req.resolved.Store(resolvePending)
 	req.q = workload.Query{Class: dr.Class, Home: dr.Home, Exec: dr.Home,
 		EstReads: dr.EstReads, EstPageCPU: dr.EstPageCPU}
 	s.cfg.classMeans(&req.q)
@@ -358,6 +418,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 	select {
 	case res := <-req.done:
+		recycle(req)
 		s.writeDecision(w, res)
 	case <-ctx.Done():
 		if req.resolved.CompareAndSwap(resolvePending, resolveExpired) {
@@ -371,20 +432,29 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		// the loop saw the dead context at dequeue, took the Expired
 		// count, and will never send — receiving would hang forever.
 		if req.resolved.Load() == resolveDecided {
-			s.writeDecision(w, <-req.done)
+			res := <-req.done
+			recycle(req)
+			s.writeDecision(w, res)
 			return
 		}
 		writeError(w, http.StatusGatewayTimeout, "decision deadline exceeded")
 	}
 }
 
+// recycle returns a request to decideReqPool. Only a handler that has
+// received the loop's send may call it.
+func recycle(req *decideReq) {
+	req.ctx = nil
+	decideReqPool.Put(req)
+}
+
 // writeDecision maps a loop resolution to its HTTP response.
 func (s *Server) writeDecision(w http.ResponseWriter, res decideResult) {
 	switch res.outcome {
 	case OutcomeDecided:
-		writeJSON(w, http.StatusOK, DecideResponse{Site: res.site, Mode: "policy", Policy: s.core.Policy()})
+		writeDecided(w, res.site, s.policyTail)
 	case OutcomeFallback:
-		writeJSON(w, http.StatusOK, DecideResponse{Site: res.site, Mode: "fallback", Policy: s.core.Policy()})
+		writeDecided(w, res.site, s.fallbackTail)
 	case OutcomeNoCapacity:
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "all candidate sites at admission cap")
@@ -394,19 +464,29 @@ func (s *Server) writeDecision(w http.ResponseWriter, res decideResult) {
 	}
 }
 
+// writeDecided writes a 200 decision body without reflection.
+func writeDecided(w http.ResponseWriter, site int, tail []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	buf := bufPool.Get().(*bytes.Buffer)
+	w.Write(appendDecision(buf.AvailableBuffer(), site, tail))
+	putBuf(buf)
+}
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := readPooled(w, r)
 	if err != nil {
 		s.bump(&s.st.BadReports)
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	rep, err := DecodeReportRequest(body, s.cfg.NumSites)
+	rep, err := DecodeReportRequest(body.Bytes(), s.cfg.NumSites)
+	putBuf(body)
 	if err != nil {
 		s.bump(&s.st.BadReports)
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -98,6 +98,9 @@ func TestServerDecideLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decide: status %d: %s", resp.StatusCode, body)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("decide Content-Type = %q, want application/json", ct)
+	}
 	var dr DecideResponse
 	if err := json.Unmarshal(body, &dr); err != nil {
 		t.Fatalf("decide response does not parse: %v", err)
