@@ -125,7 +125,7 @@ func (s *System) admissionBounce(q *workload.Query) {
 // policy runs again over the (possibly changed) load view, and admission
 // applies again at whichever site it now picks.
 func (s *System) resubmit(q *workload.Query) {
-	if s.dropDefunct(q) {
+	if q.Phase == phaseDone {
 		return // withdrawn by a deadline abort while parked
 	}
 	s.adm.waiting--

@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 
-	"dqalloc/internal/network"
 	"dqalloc/internal/workload"
 )
 
@@ -109,34 +108,14 @@ func (s *System) maybeMigrate(q *workload.Query) bool {
 		return false
 	}
 
-	// The query leaves its current site and is re-assigned to the target
+	// The query leaves its current site and is committed to the target
 	// while its state is in flight.
-	bound := s.bound(q)
-	s.table.Complete(q.Exec, bound)
-	s.table.Assign(best, bound)
-	estCPU, estIO := q.EstCPUDemand(), q.EstDiskDemand(s.cfg.DiskTime)
-	s.table.CompleteWork(q.Exec, estCPU, estIO)
-	s.table.AssignWork(best, estCPU, estIO)
-	s.replRelease(q, q.Exec)
-	s.replAssign(q, best)
 	from := q.Exec
-	q.Exec = best
-	q.Service += migTime
-	q.NetService += migTime
+	s.release(q)
+	s.commit(q, best)
 	q.Migrations++
 	s.migrations++
-	if s.faults != nil {
-		// Liveness-checked delivery with drop recovery, like any query
-		// shipment: a migration losing its state restarts from scratch.
-		s.ring.Send(s.shipMessage(q, from, best, migSize))
-		return true
-	}
-	s.ring.Send(network.Message{
-		From:      from,
-		To:        best,
-		Size:      migSize,
-		OnDeliver: func() { s.execDeliver(q, best) },
-	})
+	s.ship(q, from, best, migSize, 0)
 	return true
 }
 
@@ -148,12 +127,6 @@ func (s *System) candidateSites(q *workload.Query) []int {
 	}
 	if s.cfg.Placement != nil {
 		return s.cfg.Placement.Candidates(q.Object)
-	}
-	if s.allSites == nil {
-		s.allSites = make([]int, s.cfg.NumSites)
-		for i := range s.allSites {
-			s.allSites[i] = i
-		}
 	}
 	return s.allSites
 }
