@@ -2,6 +2,7 @@ package system
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dqalloc/internal/fault"
@@ -242,4 +243,27 @@ func TestStaticFragAvailabilityReported(t *testing.T) {
 		t.Errorf("failure-free placed run reports availability (%v, %v), want (1, 1)",
 			c.FragAvailability, c.MinFragAvailability)
 	}
+}
+
+// TestUnscheduledRebuildTripsReplicationConservation plants a deficit the
+// manager marks pending but the system never schedules a rebuild for: a
+// crash notice whose returned objects are discarded. The manager's own
+// audit counts a pending deficit as covered, so only the system's
+// rebuild-timer count can expose it.
+func TestUnscheduledRebuildTripsReplicationConservation(t *testing.T) {
+	sys, err := New(selfHealConfig(t, policy.LERT, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.sched.At(1000, func() {
+		if len(sys.repl.mgr.OnCrash(0, sys.sched.Now())) == 0 {
+			t.Error("planted crash left no deficit to schedule")
+		}
+	})
+	sys.Run()
+	err = sys.Audit()
+	if err == nil || !strings.Contains(err.Error(), "replication-conservation") {
+		t.Fatalf("unscheduled rebuild not reported by replication-conservation: %v", err)
+	}
+	t.Log(err)
 }
